@@ -375,11 +375,19 @@ let schemas =
           Arr_of
             [
               ("log_updates", Fnum);
+              ("loser_frac", Fnum);
               ("ckpt", Fstr);
-              ("domains", Fnum);
               ("updates_redone", Fnum);
-              ("seconds", Fnum);
-              ("divergence", Fnum);
+              ("updates_undone", Fnum);
+              ("cpu_seconds", Fnum);
+            ] );
+        ( "scaling",
+          Arr_of
+            [
+              ("ckpt", Fstr);
+              ("small_updates", Fnum);
+              ("large_updates", Fnum);
+              ("cpu_ratio", Fnum);
             ] );
         ( "retirement",
           Arr_of
@@ -430,6 +438,10 @@ let schemas =
             ] );
       ] );
   ]
+
+(* Numeric gates on full (non-smoke) artifacts, beyond the schema:
+   4x the input may cost at most 5x the time. *)
+let max_scaling_ratio = 5.0
 
 let errors = ref 0
 
@@ -489,7 +501,18 @@ let check_file file =
                       | _ -> err file "%s: missing or non-array \"points\"" key)
                   | Curve_of _, Some _ -> err file "%S is not an object" key
                   | _, None -> err file "missing member %S" key)
-                members)
+                members;
+              match (member "smoke" json, member "scaling" json) with
+              | Some (Bool false), Some (Arr rows) ->
+                  List.iteri
+                    (fun i row ->
+                      match member "cpu_ratio" row with
+                      | Some (Num r) when r > max_scaling_ratio ->
+                          err file "scaling[%d]: 4x input costs %.2fx CPU (gate %.1fx)" i r
+                            max_scaling_ratio
+                      | _ -> ())
+                    rows
+              | _ -> ())
       | _ -> err file "missing or non-string \"experiment\"")
 
 let () =

@@ -73,16 +73,12 @@ if ! awk -F'|' '/^[0-9]+ +\|/ { gsub(/ /,"",$5); if ($5 != "0") exit 1 }' /tmp/s
 fi
 
 # Durability smoke shard (E24, see DESIGN.md §12).  Recovery-time
-# curves at tiny quotas, then the structural assertions: every
-# parallel replay must match serial replay object-for-object (zero
-# divergence), and the sustained-write run must show the segmented log
+# curves at tiny quotas (the scaling ratio is recorded, and gated by
+# bench_sanity only on the full artifact), then the structural
+# assertion: the sustained-write run must show the segmented log
 # staying bounded under checkpoint-driven retirement.
-echo "== recovery smoke (E24: fuzzy ckpt anchors, N-domain replay, retirement) =="
+echo "== recovery smoke (E24: recovery CPU time vs log volume and anchor, retirement) =="
 dune exec bench/main.exe -- --only recovery --smoke | tee /tmp/recovery_smoke.out
-if ! grep -Eq "^E24 parallel replay: .* divergence 0 \[OK\]$" /tmp/recovery_smoke.out; then
-  echo "recovery smoke: parallel replay diverged from serial" >&2
-  exit 1
-fi
 if ! grep -Eq "^E24 retirement: log stays bounded \[OK\]$" /tmp/recovery_smoke.out; then
   echo "recovery smoke: segmented log did not stay bounded" >&2
   exit 1

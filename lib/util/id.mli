@@ -28,9 +28,8 @@ module type S = sig
   val partition : t -> int -> int
   (** [partition t n] is the bucket in [0, n) this identifier hashes
       to.  The system's one placement function: the sharded engine
-      (home shard of an object) and parallel recovery (redo queue of
-      an object) both route through it, so placements always agree.
-      Raises [Invalid_argument] when [n] is below 1. *)
+      routes every object to its home shard through it.  Raises
+      [Invalid_argument] when [n] is below 1. *)
 
   val pp : Format.formatter -> t -> unit
 

@@ -12,17 +12,13 @@
                2.2).  Winners are the transactions named in commit
                records (a group-commit record names the whole group).
 
-   redo     —  reinstall every after image *and every CLR image* in log
-               order, regardless of outcome, repeating history so the
-               cache state matches the log tail whatever subset of
-               writes reached the disk.  With [domains] > 1 the redo
-               set is partitioned by OID hash (the same
-               [Oid.partition] the sharded engine routes by) and
-               replayed on parallel OCaml domains — sound because redo
-               actions are whole-value installs, so only the last
-               action per OID matters and per-OID order is preserved
-               inside one partition; a merge barrier joins every
-               domain before undo starts.
+   redo     —  in the same forward scan, reinstall every after image
+               *and every CLR image* as the scan reaches it, regardless
+               of outcome, repeating history so the cache state matches
+               the log tail whatever subset of writes reached the disk.
+               Redo is serial: whole-value installs in log order cost
+               less than partitioning them across domains would (see
+               DESIGN.md section 12).
 
    undo     —  walk the loser updates in reverse LSN order installing
                before images (a missing before image means the object
@@ -65,8 +61,8 @@ module Trace = Asset_obs.Trace
 let site_ckpt_begin = Fault.register "wal.ckpt.begin"
 let site_ckpt_flush = Fault.register "wal.ckpt.flush"
 let site_ckpt_end = Fault.register "wal.ckpt.end"
-let site_domain_replay = Fault.register "recovery.domain.replay"
-let site_domain_merge = Fault.register "recovery.domain.merge"
+let site_redo = Fault.register "recovery.redo"
+let site_undo = Fault.register "recovery.undo"
 
 (* How an update is undone: physical installs the before image;
    logical (increments, enqueues) edits the *current* value — subtract
@@ -74,13 +70,7 @@ let site_domain_merge = Fault.register "recovery.domain.merge"
    transactions survive. *)
 type undo_kind = Physical of Value.t option | Logical_delta of int | Logical_dequeue of string
 
-type update = {
-  lsn : int;
-  oid : Oid.t;
-  undo : undo_kind;
-  after : Value.t;
-  mutable responsible : Tid.t;
-}
+type update = { lsn : int; oid : Oid.t; undo : undo_kind; mutable responsible : Tid.t }
 
 type report = {
   winners : Tid.t list;
@@ -90,8 +80,6 @@ type report = {
   scanned_from : int;
   log_records_dropped : int;
 }
-
-type redo_action = Install of Oid.t * Value.t | Remove of Oid.t
 
 (* The latest trustworthy scan anchor, found by one backward walk: an
    End_ckpt whose backlink resolves to a live Begin_ckpt (fuzzy), or a
@@ -124,14 +112,27 @@ let undo_of_ckpt = function
   | Record.Ckpt_delta delta -> Logical_delta delta
   | Record.Ckpt_dequeue item -> Logical_dequeue item
 
-(* One forward pass from the anchor.  With a fuzzy anchor the updates
-   list is seeded from the captured active-transaction table (in LSN
-   order, below everything the scan adds) — seeded updates join undo
-   and delegation re-attribution but not redo: the checkpoint's store
-   flush already covers every update logged before begin_lsn. *)
-let analyze ?(from_checkpoint = true) log =
+(* What the forward pass hands to undo and to the report. *)
+type analysis = {
+  updates : update list;  (* newest first: scanned updates, then seeded ones *)
+  redone : int;
+  winners : Tid.t list;
+  losers : Tid.t list;
+  winner : Tid.t -> bool;
+  resolved : Tid.t -> bool;  (* its Abort record reached the log *)
+  compensated : int -> bool;  (* a CLR back-links this update LSN *)
+  scanned_from : int;
+}
+
+(* One forward pass from the anchor: analysis, and redo of each after
+   image or CLR image as the scan reaches it.  With a fuzzy anchor the
+   updates list is seeded from the captured active-transaction table
+   (in LSN order, below everything the scan adds) — seeded updates join
+   undo and delegation re-attribution but not redo: the checkpoint's
+   store flush already covers every update logged before begin_lsn. *)
+let analyze log store =
   let updates = ref [] in
-  let redo = ref [] in
+  let redone = ref 0 in
   let winners = Hashtbl.create 16 in
   let aborted = Hashtbl.create 16 in
   let seen = Hashtbl.create 16 in
@@ -141,9 +142,8 @@ let analyze ?(from_checkpoint = true) log =
      set is always a suffix of the loser's update history — recovery
      undoes exactly the remainder. *)
   let compensated = Hashtbl.create 16 in
-  let anchor = if from_checkpoint then find_anchor log else No_anchor in
   let scan_from, seeds =
-    match anchor with
+    match find_anchor log with
     | No_anchor -> (Log.start_lsn log, [])
     | Quiescent lsn -> (lsn, [])
     | Fuzzy (lsn, active) -> (lsn, active)
@@ -154,13 +154,28 @@ let analyze ?(from_checkpoint = true) log =
         Hashtbl.replace seen e.att_tid ();
         List.map
           (fun (cu : Record.ckpt_update) ->
-            { lsn = cu.cu_lsn; oid = cu.cu_oid; undo = undo_of_ckpt cu.cu_undo; after = cu.cu_after; responsible = e.att_tid })
+            {
+              lsn = cu.cu_lsn;
+              oid = cu.cu_oid;
+              undo = undo_of_ckpt cu.cu_undo;
+              responsible = e.att_tid;
+            })
           e.att_updates)
       seeds
   in
   List.iter
     (fun u -> updates := u :: !updates)
     (List.sort (fun a b -> compare a.lsn b.lsn) seed_updates);
+  let redo oid image =
+    Fault.hit_io site_redo;
+    (match image with Some v -> Store.write store oid v | None -> Store.delete store oid);
+    incr redone
+  in
+  let logged lsn tid oid undo after =
+    Hashtbl.replace seen tid ();
+    updates := { lsn; oid; undo; responsible = tid } :: !updates;
+    redo oid (Some after)
+  in
   Log.iter ~from:scan_from log (fun lsn record ->
       match record with
       | Record.Checkpoint | Record.Begin_ckpt _ | Record.End_ckpt _ ->
@@ -168,22 +183,13 @@ let analyze ?(from_checkpoint = true) log =
              at or after the anchor changes what must be scanned. *)
           ()
       | Record.Begin tid -> Hashtbl.replace seen tid ()
-      | Record.Update { tid; oid; before; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Physical before; after; responsible = tid } :: !updates;
-          redo := Install (oid, after) :: !redo
+      | Record.Update { tid; oid; before; after } -> logged lsn tid oid (Physical before) after
       | Record.Increment { tid; oid; delta; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Logical_delta delta; after; responsible = tid } :: !updates;
-          redo := Install (oid, after) :: !redo
-      | Record.Enqueue { tid; oid; item; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Logical_dequeue item; after; responsible = tid } :: !updates;
-          redo := Install (oid, after) :: !redo
+          logged lsn tid oid (Logical_delta delta) after
+      | Record.Enqueue { tid; oid; item; after } -> logged lsn tid oid (Logical_dequeue item) after
       | Record.Clr { oid; image; undo_lsn; _ } ->
           Hashtbl.replace compensated undo_lsn ();
-          redo :=
-            (match image with Some v -> Install (oid, v) | None -> Remove oid) :: !redo
+          redo oid image
       | Record.Delegate { from_; to_; oids } ->
           Hashtbl.replace seen to_ ();
           let covers oid =
@@ -194,125 +200,55 @@ let analyze ?(from_checkpoint = true) log =
             !updates
       | Record.Commit tids -> List.iter (fun tid -> Hashtbl.replace winners tid ()) tids
       | Record.Abort tid -> Hashtbl.replace aborted tid ());
-  let updates = List.rev !updates in
-  let redo = List.rev !redo in
   let winner tid = Hashtbl.mem winners tid in
-  let losers =
-    Hashtbl.fold (fun tid () acc -> if winner tid then acc else tid :: acc) seen []
-  in
-  let winners = Hashtbl.fold (fun tid () acc -> tid :: acc) winners [] in
-  let resolved tid = Hashtbl.mem aborted tid in
-  let undone lsn = Hashtbl.mem compensated lsn in
-  ( updates,
-    redo,
-    List.sort Tid.compare winners,
-    List.sort Tid.compare losers,
-    resolved,
-    undone,
-    scan_from )
+  let losers = Hashtbl.fold (fun tid () acc -> if winner tid then acc else tid :: acc) seen [] in
+  {
+    updates = !updates;
+    redone = !redone;
+    winners = List.sort Tid.compare (Hashtbl.fold (fun tid () acc -> tid :: acc) winners []);
+    losers = List.sort Tid.compare losers;
+    winner;
+    resolved = Hashtbl.mem aborted;
+    compensated = Hashtbl.mem compensated;
+    scanned_from = scan_from;
+  }
 
-let apply_action store = function
-  | Install (oid, v) -> Store.write store oid v
-  | Remove oid -> Store.delete store oid
-
-(* Parallel redo.  Partition by [Oid.partition] — every action on one
-   OID lands in the same queue, in log order, so replaying a queue into
-   a private last-write-wins table computes exactly the final image of
-   that partition's objects.  Partitions touch disjoint OID sets, so
-   after the merge barrier (every domain joined, errors re-raised) the
-   tables apply to the store in any order.  Failpoints fire on the
-   driving domain only — policy state is not synchronised across
-   domains. *)
-let redo_parallel store redo domains =
-  let queues = Array.make domains [] in
-  List.iter
-    (fun action ->
-      let oid = match action with Install (oid, _) | Remove oid -> oid in
-      let d = Oid.partition oid domains in
-      queues.(d) <- action :: queues.(d))
-    redo;
-  Array.iteri (fun _ _ -> Fault.hit_io site_domain_replay) queues;
-  let handles =
-    Array.map
-      (fun q ->
-        let q = List.rev q in
-        Domain.spawn (fun () ->
-            match
-              let tbl : (Oid.t, Value.t option) Hashtbl.t = Hashtbl.create 64 in
-              List.iter
-                (fun action ->
-                  match action with
-                  | Install (oid, v) -> Hashtbl.replace tbl oid (Some v)
-                  | Remove oid -> Hashtbl.replace tbl oid None)
-                q;
-              tbl
-            with
-            | tbl -> Ok tbl
-            | exception e -> Error e))
-      queues
-  in
-  (* The merge barrier: every domain joins before anything applies. *)
-  let results = Array.map Domain.join handles in
-  Fault.hit_io site_domain_merge;
-  Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-  Array.iter
-    (function
-      | Ok tbl ->
-          Hashtbl.iter
-            (fun oid v -> match v with Some v -> Store.write store oid v | None -> Store.delete store oid)
-            tbl
-      | Error _ -> ())
-    results
-
-let recover ?(from_checkpoint = true) ?(domains = 1) log store =
-  if domains < 1 then invalid_arg "Recovery.recover: domains must be >= 1";
+let recover log store =
   if Trace.on () then Trace.emit Trace.Recovery_start;
-  let updates, redo, winners, losers, resolved, undone_before_crash, from =
-    analyze ~from_checkpoint log
-  in
-  let winner tid = List.exists (Tid.equal tid) winners in
-  (* Redo: repeat history, including the undo writes (CLRs) of aborts
-     that ran before the crash. *)
-  if domains = 1 then List.iter (apply_action store) redo
-  else redo_parallel store redo domains;
-  let redone = List.length redo in
-  (* Undo unresolved losers (in-flight at the crash) in reverse order.
-     Resolved losers' undos were replayed as CLRs above, and so was any
+  let a = analyze log store in
+  (* Undo unresolved losers (in-flight at the crash), newest update
+     first.  Resolved losers' undos were replayed as CLRs above, and so was any
      prefix of an *unresolved* abort that persisted CLRs before the
      crash — those updates carry a compensating back-link and must not
      be undone a second time (double-applying a logical delta/dequeue
      would corrupt concurrent committers' commuting updates). *)
-  let loser_updates =
-    List.filter
-      (fun u ->
-        (not (winner u.responsible))
-        && (not (resolved u.responsible))
-        && not (undone_before_crash u.lsn))
-      updates
-  in
-  let undone = List.length loser_updates in
+  let undone = ref 0 in
   List.iter
     (fun u ->
-      match u.undo with
-      | Physical (Some v) -> Store.write store u.oid v
-      | Physical None -> Store.delete store u.oid
-      | Logical_delta delta -> (
-          match Store.read store u.oid with
-          | Some v -> Store.write store u.oid (Value.incr_int v (-delta))
-          | None -> ())
-      | Logical_dequeue item -> (
-          match Store.read store u.oid with
-          | Some v -> Store.write store u.oid (Value.queue_remove_last v item)
-          | None -> ()))
-    (List.rev loser_updates);
+      if not (a.winner u.responsible || a.resolved u.responsible || a.compensated u.lsn) then begin
+        Fault.hit_io site_undo;
+        incr undone;
+        match u.undo with
+        | Physical (Some v) -> Store.write store u.oid v
+        | Physical None -> Store.delete store u.oid
+        | Logical_delta delta -> (
+            match Store.read store u.oid with
+            | Some v -> Store.write store u.oid (Value.incr_int v (-delta))
+            | None -> ())
+        | Logical_dequeue item -> (
+            match Store.read store u.oid with
+            | Some v -> Store.write store u.oid (Value.queue_remove_last v item)
+            | None -> ())
+      end)
+    a.updates;
   Store.flush store;
-  if Trace.on () then Trace.emit (Trace.Recovery_done { winners; losers });
+  if Trace.on () then Trace.emit (Trace.Recovery_done { winners = a.winners; losers = a.losers });
   {
-    winners;
-    losers;
-    updates_redone = redone;
-    updates_undone = undone;
-    scanned_from = from;
+    winners = a.winners;
+    losers = a.losers;
+    updates_redone = a.redone;
+    updates_undone = !undone;
+    scanned_from = a.scanned_from;
     log_records_dropped = Log.corrupt_dropped log;
   }
 
@@ -347,7 +283,7 @@ let fuzzy_checkpoint log store ~active ~dirty =
   if Trace.on () then Trace.emit (Trace.Ckpt_end { lsn = end_lsn; begin_lsn });
   begin_lsn
 
-let pp_report ppf r =
+let pp_report ppf (r : report) =
   Format.fprintf ppf "recovery: %d winners, %d losers, %d redone, %d undone (from lsn %d)"
     (List.length r.winners) (List.length r.losers) r.updates_redone r.updates_undone
     r.scanned_from

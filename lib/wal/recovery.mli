@@ -6,11 +6,10 @@
     transactions already running at the checkpoint) — attributing each
     update to the transaction finally responsible for it (delegation
     records re-attribute earlier updates, captured ones included);
-    redo reinstalls every after image {e and} every CLR image in log
-    order, optionally partitioned by OID hash across OCaml domains
-    with a merge barrier before undo; undo walks unresolved losers'
-    updates in reverse, installing before images (physical) or
-    subtracting deltas (logical, for increments).  A loser whose Abort
+    redo, in the same serial forward scan, reinstalls every after image
+    {e and} every CLR image as the scan reaches it; undo walks
+    unresolved losers' updates in reverse, installing before images
+    (physical) or subtracting deltas (logical, for increments).  A loser whose Abort
     record reached the log is not re-undone — its CLRs already carry
     the undo. *)
 
@@ -31,17 +30,12 @@ type report = {
           nonzero means the log tail was corrupt, not merely torn. *)
 }
 
-val recover : ?from_checkpoint:bool -> ?domains:int -> Log.t -> Store.t -> report
+val recover : Log.t -> Store.t -> report
 (** Recover [store] from [log] and flush it.  Idempotent: recovering
-    twice leaves the same state.  [from_checkpoint] (default true)
-    starts the scan at the last completed checkpoint (quiescent or
-    fuzzy).  [domains] (default 1) > 1 replays redo in parallel:
-    actions partition by [Oid.partition] so per-OID order is
-    preserved, every domain joins at a merge barrier before undo, and
-    the result is identical to serial replay.  Failpoints
-    "recovery.domain.replay" (once per partition, before spawning) and
-    "recovery.domain.merge" (after the barrier, before the store
-    applies) fire on the driving domain. *)
+    twice leaves the same state.  The scan starts at the last completed
+    checkpoint (quiescent or fuzzy).  Failpoint "recovery.redo" fires
+    before each redo install and "recovery.undo" before each loser
+    undo. *)
 
 val checkpoint : Log.t -> Store.t -> int
 (** Quiescent checkpoint: flush the store, append and force a

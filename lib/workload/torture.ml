@@ -34,7 +34,6 @@ module Log = Asset_wal.Log
 module Recovery = Asset_wal.Recovery
 module Pstore = Asset_storage.Persistent_store
 module Store = Asset_storage.Store
-module Heap_store = Asset_storage.Heap_store
 module Value = Asset_storage.Value
 module Fault = Asset_fault.Fault
 module Rng = Asset_util.Rng
@@ -56,7 +55,6 @@ type spec = {
   pool_capacity : int;
   segment_bytes : int; (* > 0: segment-directory WAL with this rotation size *)
   checkpoint_log_bytes : int; (* > 0: commit-path fuzzy-checkpoint trigger *)
-  recovery_domains : int; (* > 1: parallel redo across this many domains *)
 }
 
 let default_spec =
@@ -70,7 +68,6 @@ let default_spec =
     pool_capacity = 4;
     segment_bytes = 0;
     checkpoint_log_bytes = 0;
-    recovery_domains = 1;
   }
 
 type transfer = { src : int; dst : int; amount : int }
@@ -160,10 +157,7 @@ let sorted_snapshot store =
    run every transfer with its own committer fiber, simulate power loss
    if a crash fires, recover (retrying if a fault armed by
    [arm_recovery] crashes recovery itself — each retry is another full
-   power loss), and check the durability invariants.  With
-   [spec.recovery_domains > 1] the run additionally replays the same
-   log serially into a shadow copy of the crashed store and asserts the
-   parallel and serial results are identical. *)
+   power loss), and check the durability invariants. *)
 let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempotent = false) spec =
   Fault.reset_all ();
   let pages_path, wal_path = fresh_paths () in
@@ -244,9 +238,8 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   let recovery_crashes = ref 0 in
   let t0 = Unix.gettimeofday () in
   let rec recover_attempt n =
-    let pre = if spec.recovery_domains > 1 then Store.dump store else [] in
-    match Recovery.recover ~domains:spec.recovery_domains !rlog store with
-    | report -> (report, pre)
+    match Recovery.recover !rlog store with
+    | report -> report
     | exception Fault.Crash _ when n < 3 ->
         incr recovery_crashes;
         Fault.reset_all ();
@@ -255,31 +248,17 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
         rlog := load_log ();
         recover_attempt (n + 1)
   in
-  let report, pre_recovery = recover_attempt 0 in
+  let report = recover_attempt 0 in
   let recovery_s = Unix.gettimeofday () -. t0 in
   (* Recovery survived: disarm any recovery-site fault still pending so
-     the shadow-serial and idempotence oracles below run fault-free. *)
+     the idempotence check below runs fault-free. *)
   Fault.reset_all ();
   let rlog = !rlog in
   let failures = check spec transfers tids acked report ~durable_commits store in
   let failures =
-    (* Serial-equivalence oracle: replay the same log with one domain
-       into a shadow of the exact pre-recovery store; the results must
-       not diverge in any object. *)
-    if spec.recovery_domains > 1 then begin
-      let shadow = Heap_store.store ~name:"shadow" () in
-      List.iter (fun (oid, v) -> Store.write shadow oid v) pre_recovery;
-      ignore (Recovery.recover ~domains:1 rlog shadow);
-      if sorted_snapshot shadow <> sorted_snapshot store then
-        failures @ [ "parallel recovery diverges from serial replay" ]
-      else failures
-    end
-    else failures
-  in
-  let failures =
     if check_idempotent then begin
       let before = sorted_snapshot store in
-      ignore (Recovery.recover ~domains:spec.recovery_domains rlog store);
+      ignore (Recovery.recover rlog store);
       if sorted_snapshot store <> before then failures @ [ "recovery not idempotent" ]
       else failures
     end
@@ -383,13 +362,13 @@ let random_crash_schedules ?check_idempotent ~n spec =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Durability schedules: fuzzy checkpoints, retirement, parallel redo  *)
+(* Durability schedules: fuzzy checkpoints, retirement, recovery      *)
 
 (* The crash windows specific to the sustained-durability machinery.
    The wal.ckpt.* and wal.retire.* sites fire from the commit path's
-   checkpoint trigger during the workload; the recovery.domain.* sites
-   only fire during recovery itself, so schedules picking them arm
-   after power-off. *)
+   checkpoint trigger during the workload; the recovery.* sites only
+   fire during recovery itself, so schedules picking them arm after
+   power-off. *)
 let durability_sites =
   [|
     "wal.ckpt.begin";
@@ -398,16 +377,18 @@ let durability_sites =
     "wal.retire.manifest";
     "wal.retire.unlink";
     "wal.retire.sync_dir";
-    "recovery.domain.replay";
-    "recovery.domain.merge";
+    "recovery.redo";
+    "recovery.undo";
   |]
 
 let is_recovery_site site =
   String.length site >= 9 && String.sub site 0 9 = "recovery."
 
 (* One seeded durability schedule: a segmented WAL with an aggressive
-   checkpoint trigger, parallel recovery, and a crash armed at one of
-   the checkpoint / retirement / parallel-replay windows. *)
+   checkpoint trigger and a crash armed at one of the checkpoint /
+   retirement / recovery windows.  A recovery-site schedule also loses
+   power at a drawn WAL append during the workload, so recovery has
+   in-flight losers to undo when its own crash fires. *)
 let random_durability_schedule ?check_idempotent ~schedule_seed spec =
   let rng = Rng.create (0xd07a + schedule_seed) in
   let site = durability_sites.(Rng.int rng (Array.length durability_sites)) in
@@ -419,16 +400,18 @@ let random_durability_schedule ?check_idempotent ~schedule_seed spec =
       n_txns = max spec.n_txns 16;
       segment_bytes = 512 + (256 * Rng.int rng 4);
       checkpoint_log_bytes = 768 + (256 * Rng.int rng 4);
-      recovery_domains = 1 + Rng.int rng 3;
     }
   in
-  let do_arm () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
-  let arm, arm_recovery =
-    if is_recovery_site site then ((fun () -> ()), do_arm) else (do_arm, fun () -> ())
+  let crash site nth () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
+  let append_nth = 30 + Rng.int rng 40 in
+  let arm, arm_recovery, label =
+    if is_recovery_site site then
+      (crash "wal.append" append_nth, crash site nth, Printf.sprintf " append@%d" append_nth)
+    else (crash site nth, (fun () -> ()), "")
   in
   let r = run_once ~arm ~arm_recovery ?check_idempotent spec in
-  ( Printf.sprintf "%s@%d seg=%d ckpt=%d dom=%d seed=%d" site nth spec.segment_bytes
-      spec.checkpoint_log_bytes spec.recovery_domains spec.seed,
+  ( Printf.sprintf "%s@%d%s seg=%d ckpt=%d seed=%d" site nth label spec.segment_bytes
+      spec.checkpoint_log_bytes spec.seed,
     r )
 
 let random_durability_schedules ?check_idempotent ~n spec =

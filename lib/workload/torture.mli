@@ -29,10 +29,6 @@ type spec = {
   checkpoint_log_bytes : int;
       (** > 0: the engine's commit-path fuzzy-checkpoint trigger
           (0, the default, disables it) *)
-  recovery_domains : int;
-      (** > 1: parallel redo across this many domains, with a
-          serial-replay shadow oracle asserting zero divergence
-          (1, the default, is serial) *)
 }
 
 val default_spec : spec
@@ -62,11 +58,10 @@ val run_once :
     workload, simulate power loss if a crash fires, recover, check
     invariants, clean up.  All failpoints are reset before and at
     power-off; [arm_recovery] runs after power-off to arm faults at
-    recovery-only sites ("recovery.domain.*") — a crash during
-    recovery is retried as another full power loss (up to 3 times).
-    With [spec.recovery_domains > 1] the run also replays the log
-    serially into a shadow of the pre-recovery store and fails on any
-    divergence from the parallel result. *)
+    recovery-only sites ("recovery.redo", "recovery.undo") — a crash
+    during recovery is retried as another full power loss (up to 3
+    times), keeping whatever the crashed attempt's pool eviction wrote
+    to disk. *)
 
 type sweep = {
   boundaries : int;  (** WAL records in the fault-free reference run *)
@@ -90,15 +85,16 @@ val random_crash_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
 
 val durability_sites : string array
 (** The crash windows specific to fuzzy checkpoints ("wal.ckpt.*"),
-    segment retirement ("wal.retire.*") and parallel replay
-    ("recovery.domain.*"). *)
+    segment retirement ("wal.retire.*") and recovery itself
+    ("recovery.redo", "recovery.undo"). *)
 
 val random_durability_schedule :
   ?check_idempotent:bool -> schedule_seed:int -> spec -> string * outcome
 (** One seeded schedule over {!durability_sites}: a segmented WAL with
-    an aggressive checkpoint trigger and 1–3 recovery domains, crashing
-    at the drawn site's n-th hit.  Recovery-side sites are armed after
-    power-off so they fire during recovery itself. *)
+    an aggressive checkpoint trigger, crashing at the drawn site's n-th
+    hit.  Recovery-side sites are armed after power-off so they fire
+    during recovery itself; those schedules also lose power at a drawn
+    WAL append during the workload, so recovery has losers to undo. *)
 
 val random_durability_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
 

@@ -233,11 +233,20 @@ let test_large_volume_recovery () =
   for o = 1 to 50 do
     Alcotest.(check int) "final round value" (2000 + o) (geti store o)
   done;
+  (* Recovery's result is its own fixpoint: a second pass changes
+     nothing. *)
+  let snap = Store.dump store in
+  let recovered_log = Log.load logf in
+  let again = Recovery.recover recovered_log store in
+  Log.close recovered_log;
+  Alcotest.(check bool) "second recovery changes nothing" true (Store.dump store = snap);
+  Alcotest.(check int) "same winner count" (List.length report.Recovery.winners)
+    (List.length again.Recovery.winners);
   Pstore.close ps;
   cleanup pages logf
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzy checkpoints and parallel recovery                             *)
+(* Fuzzy checkpoints                                                   *)
 
 let test_fuzzy_checkpoint_with_active_txn () =
   let db, ps, log, pages, logf = make_persistent ~objects:4 in
@@ -315,36 +324,6 @@ let test_fuzzy_equals_quiescent () =
   let quiescent = run_ckpt_history ~fuzzy:false in
   Alcotest.(check bool) "identical recovered stores" true (fuzzy = quiescent)
 
-let test_parallel_recovery_matches_serial () =
-  let db, ps, log, pages, logf = make_persistent ~objects:50 in
-  R.run_exn db (fun () ->
-      for round = 1 to 20 do
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               for o = 1 to 50 do
-                 E.write db (oid o) (vi ((round * 100) + o))
-               done))
-      done);
-  Log.force log;
-  Log.close log;
-  Pstore.crash_and_reopen ps;
-  let store = Pstore.to_store ps in
-  let recovered_log = Log.load logf in
-  let report = Recovery.recover ~domains:4 recovered_log store in
-  Alcotest.(check int) "all updates redone in parallel" 1000 report.Recovery.updates_redone;
-  for o = 1 to 50 do
-    Alcotest.(check int) "final round value" (2000 + o) (geti store o)
-  done;
-  let snap = Store.dump store in
-  (* Serial recovery over the parallel result must be a no-op — the
-     parallel result is exactly serial recovery's fixpoint. *)
-  let serial = Recovery.recover ~domains:1 recovered_log store in
-  Alcotest.(check bool) "serial pass changes nothing" true (Store.dump store = snap);
-  Alcotest.(check int) "same winner count" (List.length report.Recovery.winners)
-    (List.length serial.Recovery.winners);
-  Pstore.close ps;
-  cleanup pages logf
-
 let () =
   Alcotest.run "asset_recovery_integration"
     [
@@ -370,7 +349,5 @@ let () =
           Alcotest.test_case "delegation across fuzzy checkpoint" `Quick
             test_delegation_across_fuzzy_checkpoint;
           Alcotest.test_case "fuzzy equals quiescent" `Quick test_fuzzy_equals_quiescent;
-          Alcotest.test_case "parallel recovery matches serial" `Quick
-            test_parallel_recovery_matches_serial;
         ] );
     ]

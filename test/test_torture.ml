@@ -89,19 +89,12 @@ let test_recovery_idempotent_under_random_crashes () =
   let sweep = Torture.random_crash_schedules ~check_idempotent:true ~n:60 spec in
   check_sweep "idempotence" sweep
 
-(* --- durability at sustained scale: fuzzy ckpt / retirement / parallel replay --- *)
+(* --- durability at sustained scale: fuzzy ckpt / retirement / recovery --- *)
 
 (* A spec that exercises the whole machine: segmented WAL, an
-   aggressive commit-path checkpoint trigger, parallel recovery with
-   the serial shadow oracle, and idempotence. *)
+   aggressive commit-path checkpoint trigger, and idempotence. *)
 let durability_spec =
-  {
-    Torture.default_spec with
-    n_txns = 20;
-    segment_bytes = 512;
-    checkpoint_log_bytes = 1024;
-    recovery_domains = 3;
-  }
+  { Torture.default_spec with n_txns = 20; segment_bytes = 512; checkpoint_log_bytes = 1024 }
 
 let test_crash_mid_fuzzy_checkpoint () =
   (* Crash inside each window of the Begin_ckpt/flush/End_ckpt
@@ -129,18 +122,29 @@ let test_crash_mid_retirement () =
         Alcotest.failf "%s: %s" site (String.concat ", " r.Torture.failures))
     [ "wal.retire.manifest"; "wal.retire.unlink"; "wal.retire.sync_dir" ]
 
-let test_crash_mid_parallel_replay () =
-  (* Crash during parallel redo and at the merge barrier: the harness
-     powers off again and retries; the retried recovery must converge
-     to the same state serial replay produces. *)
+let test_crash_mid_recovery () =
+  (* Power loss mid-workload leaves in-flight losers; then power is lost
+     again at the n-th redo install or loser undo of recovery itself,
+     and recovery is retried from a fresh load; the retry must converge.
+     The workload crash points leave at least three redos and three
+     undos: append 39 before the first fuzzy checkpoint completes,
+     append 57 after it, with losers captured in its active-transaction
+     table. *)
   List.iter
-    (fun site ->
-      let arm_recovery () = ignore (Fault.arm_name site Fault.Crash_once) in
-      let r = Torture.run_once ~arm_recovery ~check_idempotent:true durability_spec in
-      Alcotest.(check bool) (site ^ " fired during recovery") true (r.Torture.recovery_crashes > 0);
-      if r.Torture.failures <> [] then
-        Alcotest.failf "%s: %s" site (String.concat ", " r.Torture.failures))
-    [ "recovery.domain.replay"; "recovery.domain.merge" ]
+    (fun (site, append) ->
+      for nth = 1 to 3 do
+        let arm () = ignore (Fault.arm_name "wal.append" (Fault.Crash_nth append)) in
+        let arm_recovery () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
+        let r = Torture.run_once ~arm ~arm_recovery ~check_idempotent:true durability_spec in
+        let label = Printf.sprintf "append@%d %s@%d" append site nth in
+        Alcotest.(check bool)
+          (label ^ " fired during recovery")
+          true
+          (r.Torture.recovery_crashes > 0);
+        if r.Torture.failures <> [] then
+          Alcotest.failf "%s: %s" label (String.concat ", " r.Torture.failures)
+      done)
+    [ ("recovery.redo", 39); ("recovery.undo", 39); ("recovery.redo", 57); ("recovery.undo", 57) ]
 
 let test_random_durability_schedules () =
   let sweep = Torture.random_durability_schedules ~check_idempotent:true ~n:120 Torture.default_spec in
@@ -467,7 +471,7 @@ let () =
         [
           Alcotest.test_case "crash mid fuzzy checkpoint" `Quick test_crash_mid_fuzzy_checkpoint;
           Alcotest.test_case "crash mid retirement" `Quick test_crash_mid_retirement;
-          Alcotest.test_case "crash mid parallel replay" `Quick test_crash_mid_parallel_replay;
+          Alcotest.test_case "crash mid recovery" `Quick test_crash_mid_recovery;
           Alcotest.test_case "120 seeded durability schedules" `Slow
             test_random_durability_schedules;
           Alcotest.test_case "disk full aborts cleanly" `Quick test_disk_full_aborts_cleanly;
